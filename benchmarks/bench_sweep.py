@@ -6,12 +6,16 @@ shared CSR slot structure, executes every element in one batched engine pass,
 and computes lower bounds as stack reductions.  This module measures that
 megabatch path against the per-trial loop it replaced — ``Session.route``
 once per permutation, the loop the Theorem 2 sweep ran before the refactor —
-and asserts the >= 5x routes/sec speedup floor at n >= 1024, B >= 64, the
-acceptance criterion of the refactor.  The floor is asserted on the square
-d = g = 32 shape; the d > g round-plan shape (d = 64, g = 16) is measured
-and recorded without a floor (it sits near 4.5x on the reference machine:
-the per-trial loop there spends proportionally more time in the shared
-round-plan kernel, which batching cannot amortise away).
+and asserts a >= 3.4x routes/sec speedup floor at n >= 1024, B >= 64.  The
+floor was 5x when the refactor landed; it was re-baselined when the single
+route stopped building per-element ``Packet`` objects, which made the loop
+side ~1.46x faster (paired median on one host) while the megabatch side
+kept its rate.  The new floor is the old one divided by that loop speedup,
+rounded down, so the megabatch must still clear the old loop by 5x.  The
+floor is asserted on the square d = g = 32 shape; the d > g round-plan shape
+(d = 64, g = 16) is measured and recorded without a floor (the per-trial
+loop there spends proportionally more time in the shared round-plan kernel,
+which batching cannot amortise away).
 
 Results are also recorded through the shared ``bench_emit`` fixture, so::
 
@@ -107,10 +111,10 @@ def test_route_compiled_batch_cache(benchmark, d, g):
 
 
 @pytest.mark.parametrize(
-    "d,g,floor", [(32, 32, 5.0), (64, 16, None)], ids=SHAPE_IDS
+    "d,g,floor", [(32, 32, 3.4), (64, 16, None)], ids=SHAPE_IDS
 )
 def test_megabatch_sweep_speedup_floor(bench_emit, d, g, floor):
-    """``Session.route_batch`` must beat the per-trial session loop >= 5x.
+    """``Session.route_batch`` must beat the per-trial session loop >= 3.4x.
 
     Both sides run the full sweep pipeline the Theorem 2 experiment uses —
     validation, ``euler-array`` routing, batched execution, delivery
@@ -130,8 +134,8 @@ def test_megabatch_sweep_speedup_floor(bench_emit, d, g, floor):
     runs single-core where a noisy-neighbour tick can shave ~10% off either
     minimum, the measurement interleaves both pipelines, takes best-of
     minima, and retries up to three times keeping the best ratio; the
-    steady-state ratio (~5.2-5.4x) sits close enough to the floor that one
-    unlucky attempt must not fail the build.
+    steady-state ratio (~4.1-4.3x on a 2-vCPU host) sits close enough to the
+    floor that one unlucky attempt must not fail the build.
     """
     network, pis = _workload(d, g)
     trials = [pis[b].tolist() for b in range(pis.shape[0])]

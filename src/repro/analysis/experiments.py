@@ -150,8 +150,7 @@ def _theorem2_shard(
     through :meth:`~repro.api.session.Session.route_batch`; the per-trial
     metrics are bit-identical, so merged sweep reports are unchanged (only
     cache-counter granularity differs on the batched engine: one batch-level
-    entry per ``d >= g`` shard; ``d < g`` shards take the per-element fast
-    path per the dispatch heuristic in ``_measure_routing_batch``).
+    entry per shard).
     Returns the sorted slot counts seen, the AND of the
     per-trial bound checks, and the shard's schedule-cache counter deltas
     (memory hits/misses, plus the persistent tier's disk hits/misses when a

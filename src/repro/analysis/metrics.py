@@ -14,21 +14,23 @@ from __future__ import annotations
 import hashlib
 from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import TYPE_CHECKING, Any
+from typing import Any
 
 import numpy as np
 
 from repro.obs import get_tracer
+from repro.pops.engine import BatchedSimulator, ScheduleCache
 from repro.pops.simulator import POPSSimulator
 from repro.pops.topology import POPSNetwork
-from repro.routing.lower_bounds import best_known_lower_bound
+from repro.routing.lower_bounds import (
+    best_known_lower_bound,
+    best_known_lower_bound_stack,
+)
 from repro.routing.permutation_router import (
     PermutationRouter,
     theorem2_slot_bound,
 )
-
-if TYPE_CHECKING:  # pragma: no cover - typing only
-    from repro.pops.engine import ScheduleCache
+from repro.utils.validation import check_permutation_array, check_permutation_stack
 
 __all__ = [
     "RoutingMetrics",
@@ -140,7 +142,6 @@ def _measure_routing_batch(
     sim_backend: str = "reference",
     use_cache: bool = True,
     cache: ScheduleCache | None = None,
-    prefer_batch: bool | None = None,
 ) -> list[RoutingMetrics]:
     """Batched :func:`_measure_routing` over a ``(B, n)`` permutation stack.
 
@@ -148,28 +149,18 @@ def _measure_routing_batch(
     one batched route, one batched execution, one batched verification, one
     compiled batch trace — and entry ``b`` of the result is bit-identical
     (field by field, including dtypes) to ``_measure_routing(network,
-    pis[b], ...)``.  Other engines fall back to the per-element loop, so the
-    function is safe for any registered backend; only the batched path changes
-    cache granularity (one batch-level entry under
-    :func:`routing_cache_key_batch` instead of ``B`` per-permutation entries).
-
-    ``prefer_batch`` overrides the batch-dispatch shape heuristic: by default
-    (``None``) ``d < g`` stacks take the per-element fast path even on the
-    batched engines, because the batched plan builders pad every element's
-    round structure to the worst case and measurably *lose* to the loop there
-    (0.8x at ``d = 16, g = 64``; the two paths are bit-identical, so dispatch
-    is purely a performance decision, pinned in ``tests/test_megabatch.py``).
-    Pass ``True``/``False`` to force a path regardless of shape.
+    pis[b], ...)``.  Every shape takes it, ``d < g`` included: with the
+    cache-blocked Euler split the padded batch plan builders beat the
+    per-element loop there too (~200 vs ~360 ms for a ``16x64`` stack of 64
+    on a 2-vCPU host).
+    Other engines fall back to the per-element loop, so the function is safe
+    for any registered backend; only the batched path changes cache
+    granularity (one batch-level entry under :func:`routing_cache_key_batch`
+    instead of ``B`` per-permutation entries).
     """
-    from repro.routing.lower_bounds import best_known_lower_bound_stack
-    from repro.utils.validation import check_permutation_stack
-
     tracer = get_tracer()
     images = check_permutation_stack(pis, network.n)
-    batch_pays_off = (
-        prefer_batch if prefer_batch is not None else network.d >= network.g
-    )
-    if sim_backend not in ("batched", "auto") or not batch_pays_off:
+    if sim_backend not in ("batched", "auto"):
         return [
             _measure_routing(
                 network,
@@ -182,8 +173,6 @@ def _measure_routing_batch(
             )
             for b in range(images.shape[0])
         ]
-
-    from repro.pops.engine import BatchedSimulator
 
     with tracer.span(
         "session.route_batch", d=network.d, g=network.g, n=network.n,
@@ -268,9 +257,6 @@ def _measure_routing(
             # A permutation plan is always a consuming schedule, so "auto"
             # resolves to the batched engine without probing.  The cache key
             # covers the plan stage: a hit skips route construction entirely.
-            from repro.pops.engine import BatchedSimulator
-            from repro.utils.validation import check_permutation_array
-
             with tracer.span("route.setup"):
                 router = PermutationRouter(
                     network, backend=router_backend, verify=verify

@@ -197,10 +197,10 @@ class Session:
         (router backend, engine, cache policy) comes from the session; on the
         batched path the cache holds one batch-level entry per stack.
 
-        Dispatch is shape-aware: ``d < g`` stacks take the per-element fast
-        path even on the batched engines, where the padded batch plan
-        builders measurably lose to the loop (bit-identical results either
-        way — see ``_measure_routing_batch``).
+        Every shape, ``d < g`` included, takes the batched path on the
+        batched engines: the cache-blocked Euler split makes the padded batch
+        plan builders beat the per-element loop everywhere (bit-identical
+        results either way — see ``_measure_routing_batch``).
 
         Span-instrumented like :meth:`route`, under a ``session.route_batch``
         root (one span tree for the whole stack on the batched path).

@@ -281,13 +281,17 @@ def route_with_recovery(
     """Route ``pi`` clean, execute under ``spec``, recover online, verify.
 
     The full fault-tolerance pipeline: the universal router plans the clean
-    Theorem 2 schedule; the batched engine executes it with fault injection
-    (a ``fault.inject`` span covers the injected execution); if a failed
-    coupler is driven inside the fault window, the residual traffic is
-    re-solved over the surviving couplers (``route.reroute`` span) and the
-    reference simulator re-executes and verifies delivery on the degraded
-    topology.  The report compares total slots (executed before the fault +
-    reroute) against the clean ``2⌈d/g⌉`` bound.
+    Theorem 2 schedule straight to compiled arrays
+    (:meth:`~repro.routing.permutation_router.PermutationRouter.
+    route_compiled`, bit-identical to routing object-level and compiling,
+    with no per-packet objects for the array backends); the batched engine
+    executes it with fault injection (a ``fault.inject`` span covers the
+    injected execution); if a failed coupler is driven inside the fault
+    window, the residual traffic is re-solved over the surviving couplers
+    (``route.reroute`` span) and the reference simulator re-executes and
+    verifies delivery on the degraded topology.  The report compares total
+    slots (executed before the fault + reroute) against the clean
+    ``2⌈d/g⌉`` bound.
     """
     from repro.pops.engine import BatchedSimulator
     from repro.pops.simulator import POPSSimulator
@@ -298,10 +302,8 @@ def route_with_recovery(
 
     spec.validate_for(network)
     tracer = get_tracer()
-    router = PermutationRouter(network, backend=router_backend)
-    plan = router.route(pi)
+    compiled = PermutationRouter(network, backend=router_backend).route_compiled(pi)
     engine = BatchedSimulator(network)
-    compiled = engine.compile(plan.schedule, plan.packets)
     bound = theorem2_slot_bound(network.d, network.g)
     fault: CouplerFailedError | None = None
     with tracer.span(

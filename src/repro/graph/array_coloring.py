@@ -334,6 +334,10 @@ def euler_array_colors(graph: ArrayMultigraph) -> np.ndarray:
     )[0]
 
 
+#: Largest union one packed pointer-doubling call covers (16-bit indices).
+_PACKED_UNION = 1 << 16
+
+
 def _alternate_mask_stack(order: np.ndarray, m: int) -> np.ndarray:
     """Row-wise :func:`_alternate_mask` against the consecutive left pairing.
 
@@ -345,6 +349,15 @@ def _alternate_mask_stack(order: np.ndarray, m: int) -> np.ndarray:
     pointer-doubling iterations of the larger union are idempotent, so each
     output row is bit-identical to a standalone call on that row.
 
+    The union is cache-blocked: when it exceeds ``2**16`` instances but a
+    segment fits, consecutive whole segments are grouped into blocks of at
+    most ``2**16`` instances and :func:`_orbit_minima` runs once per block
+    on block-local ``uint32`` indices — the packed single-gather tier, over
+    a working set that stays in cache.  Cycles never leave their segment,
+    so a block is a disjoint union of whole cycles and its local minima
+    order the instances of a segment exactly as the global minima do: the
+    mask is unchanged bit for bit.
+
     The two-step walk ``step(i) = partner_right[i ^ 1]`` is scattered
     directly (no intermediate pairing array): consecutive order entries are
     right partners, so ``step[a ^ 1] = b`` and ``step[b ^ 1] = a`` for each
@@ -354,18 +367,30 @@ def _alternate_mask_stack(order: np.ndarray, m: int) -> np.ndarray:
     """
     rows, seg_len = order.shape
     size = rows * seg_len
-    flat = (order + (np.arange(rows, dtype=np.int64) * seg_len)[:, None]).ravel()
-    first = flat[0::2]
-    second = flat[1::2]
-    # 16-bit-indexable unions feed the packed pointer-doubling tier directly.
-    step_dtype = np.uint32 if size <= 1 << 16 else np.int64
-    step = np.empty(size, dtype=step_dtype)
-    step[first ^ 1] = second
-    step[second ^ 1] = first
+    if size <= _PACKED_UNION or seg_len > _PACKED_UNION:
+        per_block = rows
+    else:
+        per_block = _PACKED_UNION // seg_len
+    block = per_block * seg_len
+    step_dtype = np.uint32 if block <= _PACKED_UNION else np.int64
+    # Block-local instance indices: each block is scattered and walked on
+    # its own, so 16-bit-indexable blocks feed the packed tier directly.
+    offsets = np.arange(rows, dtype=np.int64) % per_block * seg_len
+    local = (order + offsets[:, None]).ravel()
     # Cycles are confined to a segment, so they have at most m instances and
     # the two-step orbits at most m // 2 — far below the flattened union.
-    representative = _orbit_minima(step, min(max(2, m // 2), size))
-    even = representative[0::2] > representative[1::2]
+    limit = max(2, m // 2)
+    even = np.empty(size // 2, dtype=bool)
+    for start in range(0, size, block):
+        pairs = local[start:start + block]
+        step = np.empty(pairs.size, dtype=step_dtype)
+        first, second = pairs[0::2], pairs[1::2]
+        step[first ^ 1] = second
+        step[second ^ 1] = first
+        representative = _orbit_minima(step, min(limit, pairs.size))
+        even[start // 2:(start + pairs.size) // 2] = (
+            representative[0::2] > representative[1::2]
+        )
     mask = np.empty(size, dtype=bool)
     mask[0::2] = even
     mask[1::2] = ~even
@@ -389,10 +414,12 @@ def euler_array_colors_stack(
     The even-degree split is fully batched: the structural left pairing is
     shared, the right pairing is a row-wise stable argsort, and one
     pointer-doubling pass over the flattened disjoint union 2-colours every
-    row's cycles at once.  Exactly half of each row survives either side of
-    a split (vertex degrees halve row-wise), so boolean-mask selection
-    reshapes back to a dense stack.  Odd degrees peel a perfect matching
-    per row (matching is the one stage that does not batch).
+    row's cycles at once — cache-blocked into runs of whole segments of at
+    most ``2**16`` instances when the union is larger (see
+    :func:`_alternate_mask_stack`).  Exactly half of each row survives
+    either side of a split (vertex degrees halve row-wise), so boolean-mask
+    selection reshapes back to a dense stack.  Odd degrees peel a perfect
+    matching per row (matching is the one stage that does not batch).
     """
     left = np.asarray(left)
     right = np.asarray(right)

@@ -53,7 +53,7 @@ from repro.exceptions import (
 from repro.obs import get_tracer
 from repro.obs.metrics import Counter
 from repro.pops.lowering import group_firsts, lower_schedule
-from repro.pops.packet import Packet
+from repro.pops.packet import LazyPackets, Packet
 from repro.pops.schedule import RoutingSchedule
 from repro.pops.topology import Coupler, POPSNetwork
 from repro.pops.trace import CompiledTrace, CompiledTraceBatch, SimulationTrace
@@ -212,14 +212,17 @@ class CompiledScheduleBatch:
     def element(self, b: int) -> CompiledSchedule:
         """Materialize element ``b`` as a standalone :class:`CompiledSchedule`.
 
-        Plane rows are views (zero-copy); structure arrays are shared.  The
+        Plane rows are views (zero-copy); structure arrays are shared, and
+        the packet universe is a :class:`~repro.pops.packet.LazyPackets` view
+        that builds its ``Packet`` objects only if something reads them.  The
         result is bit-identical to compiling element ``b``'s plan alone.
         """
         destinations = self.pk_destination[b]
-        packets = list(map(Packet, range(destinations.size), destinations.tolist()))
         return CompiledSchedule(
             network=self.network,
-            packets=packets,
+            packets=LazyPackets(
+                np.arange(destinations.size, dtype=np.int64), destinations
+            ),
             n_slots=self.n_slots,
             tx_sender=self.tx_sender[b],
             tx_packet=self.tx_packet[b],

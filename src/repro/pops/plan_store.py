@@ -61,7 +61,7 @@ import json
 import os
 import uuid
 import zipfile
-from collections.abc import Hashable, Sequence
+from collections.abc import Hashable
 from pathlib import Path
 from typing import Any
 
@@ -70,7 +70,7 @@ import numpy as np
 from repro.exceptions import ConfigurationError
 from repro.obs import get_tracer
 from repro.obs.metrics import Counter
-from repro.pops.packet import Packet
+from repro.pops.packet import LazyPackets
 from repro.pops.topology import POPSNetwork
 
 __all__ = ["PlanStore", "plan_key_digest", "STORE_SCHEMA_VERSION"]
@@ -205,56 +205,6 @@ class _CorruptBlob(Exception):
     """Internal: the blob exists but cannot be trusted."""
 
 
-class _LazyPackets(Sequence):
-    """Packet universe of a loaded plan, materialized on first touch.
-
-    Rebuilding ``n`` frozen :class:`~repro.pops.packet.Packet` objects
-    dominates blob load time (it is pure Python object construction), yet
-    acquiring a plan — the warm-start hot path — never looks at them; only
-    error reporting, trace materialization and buffer reconstruction do.
-    This sequence holds the source/destination arrays and builds the list
-    the first time anyone indexes, iterates or compares it, so a disk hit
-    costs array reads only.
-    """
-
-    __slots__ = ("_source", "_destination", "_items")
-
-    def __init__(self, source: np.ndarray, destination: np.ndarray):
-        self._source = source
-        self._destination = destination
-        self._items: list[Packet] | None = None
-
-    def _materialized(self) -> list[Packet]:
-        if self._items is None:
-            self._items = list(
-                map(Packet, self._source.tolist(), self._destination.tolist())
-            )
-            self._source = self._destination = None
-        return self._items
-
-    def __len__(self) -> int:
-        if self._items is not None:
-            return len(self._items)
-        return int(self._destination.shape[0])
-
-    def __getitem__(self, index):
-        return self._materialized()[index]
-
-    def __iter__(self):
-        return iter(self._materialized())
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, _LazyPackets):
-            other = other._materialized()
-        if isinstance(other, list):
-            return self._materialized() == other
-        return NotImplemented
-
-    def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        state = "materialized" if self._items is not None else "lazy"
-        return f"_LazyPackets(n={len(self)}, {state})"
-
-
 class PlanStore:
     """Content-addressed on-disk tier for compiled routing plans.
 
@@ -382,17 +332,21 @@ class PlanStore:
         from repro.pops.engine import CompiledSchedule, CompiledScheduleBatch
 
         if isinstance(compiled, CompiledSchedule):
-            if any(p.payload is not None for p in compiled.packets):
+            packets = compiled.packets
+            if isinstance(packets, LazyPackets):
+                # Payload-free by construction: no packet objects to build.
+                pk_source = np.asarray(packets.source, dtype=np.int64)
+            elif any(p.payload is not None for p in packets):
                 return None
+            else:
+                pk_source = np.fromiter(
+                    (p.source for p in packets), dtype=np.int64, count=len(packets)
+                )
             fields: dict[str, np.ndarray] = {
                 name: np.asarray(getattr(compiled, name))
                 for name in _SCHEDULE_FIELDS
             }
-            fields["pk_source"] = np.fromiter(
-                (p.source for p in compiled.packets),
-                dtype=np.int64,
-                count=len(compiled.packets),
-            )
+            fields["pk_source"] = pk_source
             names = list(_SCHEDULE_FIELDS) + ["pk_source"]
             kind = "schedule"
             shape_meta = np.array(
@@ -482,7 +436,7 @@ class PlanStore:
         if kind == "schedule":
             return CompiledSchedule(
                 network=network,
-                packets=_LazyPackets(arrays["pk_source"], arrays["pk_destination"]),
+                packets=LazyPackets(arrays["pk_source"], arrays["pk_destination"]),
                 n_slots=n_slots,
                 **{name: arrays[name] for name in _SCHEDULE_FIELDS},
             )

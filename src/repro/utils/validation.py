@@ -110,9 +110,10 @@ def check_permutation(pi: Sequence[int], n: int | None = None) -> list[int]:
 def check_permutation_array(pi: Sequence[int], n: int | None = None) -> np.ndarray:
     """Vectorized :func:`check_permutation` returning an ``int64`` array.
 
-    Same contract and messages, with the per-entry Python loop replaced by
-    whole-array range and ``bincount`` checks — the validation path of the
-    array-native router front end.
+    Same contract and messages — the validation path of the array-native
+    router front end.  Valid input takes whole-array range and ``bincount``
+    checks instead of the per-entry Python loop; invalid input is handed to
+    :func:`check_permutation`, which names the first offender in input order.
     """
     try:
         values = np.asarray(pi, dtype=np.int64)
@@ -127,16 +128,12 @@ def check_permutation_array(pi: Sequence[int], n: int | None = None) -> np.ndarr
             f"permutation has length {values.size}, expected {n}"
         )
     size = values.size
-    out_of_range = (values < 0) | (values >= size)
-    if out_of_range.any():
-        image = int(values[np.flatnonzero(out_of_range)[0]])
-        raise ValidationError(
-            f"permutation entry {image} out of range [0, {size})"
-        )
-    counts = np.bincount(values, minlength=size)
-    repeated = np.flatnonzero(counts > 1)
-    if repeated.size:
-        raise ValidationError(f"permutation repeats the image {int(repeated[0])}")
+    if ((values < 0) | (values >= size)).any() or (
+        np.bincount(values, minlength=size) > 1
+    ).any():
+        # Invalid: the scalar check raises for the first offender in input
+        # order, so both validators name the same entry.
+        check_permutation(values.tolist())
     return values
 
 
@@ -144,8 +141,8 @@ def check_permutation_stack(pis: Any, n: int | None = None) -> np.ndarray:
     """Validate a ``(B, n)`` stack of permutations; returns an ``int64`` array.
 
     Batched :func:`check_permutation_array`: every row must be a permutation
-    of ``{0, ..., n-1}``.  Violations raise with the single-permutation
-    message for the row-major first offender.
+    of ``{0, ..., n-1}``.  Violations raise :func:`check_permutation`'s
+    message for the first invalid row.
     """
     try:
         values = np.asarray(pis, dtype=np.int64)
@@ -161,19 +158,16 @@ def check_permutation_stack(pis: Any, n: int | None = None) -> np.ndarray:
             f"permutation has length {size}, expected {n}"
         )
     out_of_range = (values < 0) | (values >= size)
-    if out_of_range.any():
-        b, i = np.unravel_index(int(np.argmax(out_of_range)), out_of_range.shape)
-        raise ValidationError(
-            f"permutation entry {int(values[b, i])} out of range [0, {size})"
-        )
     counts = np.bincount(
-        (np.arange(batch, dtype=np.int64)[:, None] * size + values).ravel(),
+        (
+            np.arange(batch, dtype=np.int64)[:, None] * size
+            + np.where(out_of_range, 0, values)
+        ).ravel(),
         minlength=batch * size,
     ).reshape(batch, size)
-    repeated = counts > 1
-    if repeated.any():
-        b, image = np.unravel_index(int(np.argmax(repeated)), repeated.shape)
-        raise ValidationError(f"permutation repeats the image {int(image)}")
+    invalid = out_of_range.any(axis=1) | (counts > 1).any(axis=1)
+    if invalid.any():
+        check_permutation(values[int(np.argmax(invalid))].tolist())
     return values
 
 

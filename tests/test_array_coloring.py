@@ -18,8 +18,12 @@ from hypothesis import strategies as st
 from repro.exceptions import EdgeColoringError, GraphError
 from repro.graph.array_coloring import (
     ARRAY_COLORING_KERNELS,
+    _alternate_mask,
+    _alternate_mask_stack,
+    _orbit_minima,
     coloring_from_instances,
     euler_array_colors,
+    euler_array_colors_stack,
     euler_split_instances,
     konig_array_colors,
     verify_instance_coloring,
@@ -219,6 +223,106 @@ class TestEulerSplitInstances:
     def test_rejects_odd_degree(self):
         with pytest.raises(GraphError):
             euler_split_instances(np.array([0]), np.array([0]))
+
+
+def cycle_walk_minima(step: np.ndarray) -> np.ndarray:
+    """Orbit minima of the permutation ``step`` by walking every cycle."""
+    images = step.tolist()
+    minima = [-1] * len(images)
+    for start in range(len(images)):
+        if minima[start] >= 0:
+            continue
+        cycle = [start]
+        node = images[start]
+        while node != start:
+            cycle.append(node)
+            node = images[node]
+        low = min(cycle)
+        for node in cycle:
+            minima[node] = low
+    return np.array(minima, dtype=np.int64)
+
+
+#: Segment lengths spanning the pointer-doubling tiers (plain below 2**13,
+#: packed uint32 up to 2**16, packed int64 above); several do not divide
+#: 2**16, so the last block of a blocked union is short.
+SEGMENT_LENGTHS = [2, 30, 64, 1022, 2046, 3000, 7168, 16384, 65536, 70000]
+
+
+@st.composite
+def segment_unions(draw, max_size: int = 1 << 18):
+    """``(rows, seg_len)`` stacks of per-segment random orderings."""
+    seg_len = draw(st.sampled_from(SEGMENT_LENGTHS))
+    rows = draw(st.integers(min_value=1, max_value=max(1, max_size // seg_len)))
+    seed = draw(st.integers(min_value=0, max_value=2**32 - 1))
+    gen = np.random.default_rng(seed)
+    return np.stack([gen.permutation(seg_len) for _ in range(rows)])
+
+
+class TestOrbitMinima:
+    """The pointer-doubling kernels against a plain cycle walk.
+
+    The Euler split colours each cycle by its orbit minima, so every tier of
+    :func:`_orbit_minima` — and the cache-blocked union of
+    :func:`_alternate_mask_stack` — must reproduce the exact minima.
+    """
+
+    @given(order=segment_unions())
+    @settings(max_examples=30, deadline=None)
+    def test_every_tier_matches_cycle_walk(self, order):
+        rows, seg_len = order.shape
+        # A disjoint union of per-segment permutations: orbits stay inside
+        # their segment, as the Euler split's do.
+        step = (order + np.arange(rows)[:, None] * seg_len).ravel()
+        minima = _orbit_minima(step, seg_len)
+        np.testing.assert_array_equal(minima, cycle_walk_minima(step))
+
+    @given(order=segment_unions())
+    @settings(max_examples=30, deadline=None)
+    def test_blocked_mask_matches_unblocked_and_cycle_walk(self, order):
+        rows, seg_len = order.shape
+        size = rows * seg_len
+        flat = (order + np.arange(rows)[:, None] * seg_len).ravel()
+        partner_right = np.empty(size, dtype=np.int64)
+        partner_right[flat[0::2]] = flat[1::2]
+        partner_right[flat[1::2]] = flat[0::2]
+        partner_left = np.arange(size, dtype=np.int64) ^ 1
+        minima = cycle_walk_minima(partner_right[partner_left])
+        walked = minima > minima[partner_left]
+        unblocked = _alternate_mask(partner_left, partner_right)
+        blocked = _alternate_mask_stack(order, seg_len)
+        np.testing.assert_array_equal(unblocked, walked)
+        np.testing.assert_array_equal(blocked, walked)
+
+    @pytest.mark.parametrize(
+        "n_vertices,degree,batch",
+        [(64, 64, 20), (56, 64, 24), (16, 48, 90), (128, 128, 5)],
+    )
+    def test_stack_above_packed_union_is_row_wise_identical(
+        self, n_vertices, degree, batch
+    ):
+        """Stacks over 2**16 instances take the blocked path; rows match B = 1."""
+        gen = np.random.default_rng(n_vertices * degree + batch)
+        lefts, rights, graphs = [], [], []
+        for _ in range(batch):
+            right = np.concatenate(
+                [gen.permutation(n_vertices) for _ in range(degree)]
+            )
+            graph = ArrayMultigraph.from_instances(
+                n_vertices, n_vertices, np.tile(np.arange(n_vertices), degree), right
+            )
+            left_row, right_row = graph.instances()
+            lefts.append(left_row)
+            rights.append(right_row)
+            graphs.append(graph)
+        left, right = np.stack(lefts), np.stack(rights)
+        assert left.size > 1 << 16
+        colors = euler_array_colors_stack(
+            left, right, n_vertices, n_vertices, degree
+        )
+        for b, graph in enumerate(graphs):
+            np.testing.assert_array_equal(colors[b], euler_array_colors(graph))
+            verify_instance_coloring(graph, colors[b])
 
 
 class TestColoringBackendParity:

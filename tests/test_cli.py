@@ -10,6 +10,23 @@ import pytest
 from repro.cli import build_parser, main
 
 
+def _project_scripts(text: str) -> dict[str, str]:
+    """The ``[project.scripts]`` table of a ``pyproject.toml`` document."""
+    try:
+        import tomllib
+    except ModuleNotFoundError:  # Python 3.10: read the flat table as text
+        scripts, inside = {}, False
+        for raw in text.splitlines():
+            line = raw.split("#", 1)[0].strip()
+            if line.startswith("["):
+                inside = line == "[project.scripts]"
+            elif inside and "=" in line:
+                name, _, value = line.partition("=")
+                scripts[name.strip().strip('"')] = value.strip().strip('"')
+        return scripts
+    return tomllib.loads(text).get("project", {}).get("scripts", {})
+
+
 class TestParser:
     def test_requires_command(self):
         with pytest.raises(SystemExit):
@@ -92,12 +109,21 @@ class TestCommands:
         output = capsys.readouterr().out
         assert "Figure 3" in output
 
-    def test_console_script_registered(self):
-        from importlib.metadata import entry_points
+    def test_console_script_declared_in_pyproject(self):
+        """``[project.scripts]`` maps ``pops-repro`` to ``repro.cli:main``.
 
-        scripts = entry_points(group="console_scripts")
-        names = {entry.name for entry in scripts}
-        assert "pops-repro" in names
+        Checked in process against the source tree, so it holds from a clean
+        checkout; that an installed package exposes the script is a CI step
+        after ``pip install -e .``.
+        """
+        import importlib
+        from pathlib import Path
+
+        pyproject = Path(__file__).resolve().parents[1] / "pyproject.toml"
+        scripts = _project_scripts(pyproject.read_text(encoding="utf-8"))
+        assert scripts.get("pops-repro") == "repro.cli:main"
+        module, _, attr = scripts["pops-repro"].partition(":")
+        assert getattr(importlib.import_module(module), attr) is main
 
 
 class TestJsonFormat:

@@ -15,6 +15,8 @@ The fault-tolerance contract layered over the clean Theorem 2 pipeline:
 
 from __future__ import annotations
 
+import dataclasses
+import json
 import random
 
 import pytest
@@ -29,6 +31,7 @@ from repro.exceptions import (
     CouplerFailedError,
     RoutingError,
     TransmitterError,
+    ValidationError,
 )
 from repro.faults import (
     DegradedNetwork,
@@ -393,6 +396,68 @@ class TestRouteWithRecovery:
                 list(range(square_network.n)),
                 FaultSpec(failed_couplers=((9, 9),)),
             )
+
+
+def _object_plan(router, pi, **_kwargs):
+    """The object pipeline ``route_with_recovery`` used to plan with."""
+    plan = router.route(pi)
+    return BatchedSimulator(router.network).compile(plan.schedule, plan.packets)
+
+
+class TestCompiledCleanPlanParity:
+    """``route_with_recovery`` plans the clean schedule with ``route_compiled``.
+
+    The oracle swaps that plan stage for the object pipeline (``router.route``
+    then ``engine.compile``); the reports — or the errors, where a failed
+    processor strands its packet — must be identical.
+    """
+
+    SPECS = {
+        "coupler": FaultSpec(failed_couplers=((1, 2),)),
+        "two-couplers": FaultSpec(failed_couplers=((1, 0), (2, 1))),
+        "processor": FaultSpec(failed_processors=(5,)),
+        "group": FaultSpec(failed_groups=(1,)),
+    }
+
+    @staticmethod
+    def _outcome(network, pi, spec, backend):
+        try:
+            report = route_with_recovery(network, pi, spec, router_backend=backend)
+        except Exception as exc:  # compared by type and message
+            return type(exc), str(exc)
+        return json.dumps(report.to_dict(), sort_keys=True)
+
+    @pytest.mark.parametrize("backend", ["euler-array", "konig-array"])
+    @pytest.mark.parametrize("onset", [0, 1])
+    @pytest.mark.parametrize("kind", sorted(SPECS))
+    @pytest.mark.parametrize("shape", [(4, 4), (8, 4), (3, 6)])
+    def test_report_matches_object_plan_oracle(
+        self, monkeypatch, rng, shape, kind, onset, backend
+    ):
+        network = POPSNetwork(*shape)
+        spec = dataclasses.replace(self.SPECS[kind], onset_slot=onset)
+        pis = [random_permutation(network.n, rng) for _ in range(3)]
+        pis.append([(i + shape[0]) % network.n for i in range(network.n)])
+        compiled = [self._outcome(network, pi, spec, backend) for pi in pis]
+
+        monkeypatch.setattr(PermutationRouter, "route_compiled", _object_plan)
+        oracle = [self._outcome(network, pi, spec, backend) for pi in pis]
+        assert compiled == oracle
+        if kind.endswith("coupler") or kind.endswith("couplers"):
+            # Coupler faults keep every packet routable: real reports.
+            assert all(isinstance(outcome, str) for outcome in compiled)
+
+    @pytest.mark.parametrize(
+        "pi", [[1, 2, 2, 1] + list(range(4, 16)), [0] * 15 + [16], [0] * 15]
+    )
+    def test_invalid_permutation_errors_match_oracle(self, monkeypatch, pi):
+        network = POPSNetwork(4, 4)
+        spec = self.SPECS["coupler"]
+        compiled = self._outcome(network, pi, spec, "euler-array")
+
+        monkeypatch.setattr(PermutationRouter, "route_compiled", _object_plan)
+        assert compiled == self._outcome(network, pi, spec, "euler-array")
+        assert compiled[0] is ValidationError
 
 
 class TestSessionAndCLI:

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import random
 from math import ceil
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.api import Session
 from repro.patterns.families import cyclic_shift, group_cyclic_shift, vector_reversal
@@ -14,13 +19,18 @@ from repro.patterns.generators import (
 from repro.pops.topology import POPSNetwork
 from repro.routing.lower_bounds import (
     best_known_lower_bound,
+    best_known_lower_bound_stack,
     is_group_blocked,
     is_group_moving,
     proposition1_lower_bound,
     proposition2_lower_bound,
     proposition3_lower_bound,
 )
-from repro.utils.permutations import random_derangement, random_permutation
+from repro.utils.permutations import (
+    identity_permutation,
+    random_derangement,
+    random_permutation,
+)
 
 
 class TestPredicates:
@@ -152,3 +162,61 @@ class TestBestKnownLowerBound:
         pi = random_permutation(network.n, rng)
         metrics = Session().route(pi, network=network)
         assert metrics.slots >= best_known_lower_bound(network, pi)
+
+
+#: Row generators of the stacked-bound parity suite: every class on which a
+#: different proposition is the tightest (or none applies).
+_ROW_KINDS = {
+    "random": lambda network, rng: random_permutation(network.n, rng),
+    "identity": lambda network, rng: identity_permutation(network.n),
+    "derangement": lambda network, rng: (
+        random_derangement(network.n, rng) if network.n > 1 else [0]
+    ),
+    "group_blocked": random_group_blocked_permutation,
+    "group_moving_blocked": lambda network, rng: (
+        random_group_moving_blocked_permutation(network, rng)
+        if network.g > 1
+        else random_group_blocked_permutation(network, rng)
+    ),
+    "within_group": random_within_group_permutation,
+    "vector_reversal": lambda network, rng: vector_reversal(network.n),
+    "group_shift": lambda network, rng: group_cyclic_shift(network.n, network.d),
+}
+
+
+class TestBestKnownLowerBoundStack:
+    """``best_known_lower_bound_stack(net, S)[b] == best_known_lower_bound(net, S[b])``.
+
+    Megabatches report the stacked bound and single routes the scalar one,
+    so this is the contract that keeps their ``lower_bound`` fields equal.
+    """
+
+    @settings(max_examples=60, deadline=None)
+    @given(
+        d=st.integers(min_value=1, max_value=9),
+        g=st.integers(min_value=1, max_value=9),
+        kinds=st.lists(st.sampled_from(sorted(_ROW_KINDS)), min_size=1, max_size=8),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_each_row_equals_scalar_bound(self, d, g, kinds, seed):
+        network = POPSNetwork(d, g)
+        rng = random.Random(seed)
+        stack = np.array(
+            [_ROW_KINDS[kind](network, rng) for kind in kinds], dtype=np.int64
+        )
+        bounds = best_known_lower_bound_stack(network, stack)
+        assert bounds.shape == (len(kinds),)
+        assert bounds.tolist() == [
+            best_known_lower_bound(network, row.tolist()) for row in stack
+        ]
+
+    def test_every_proposition_is_exercised(self, rng):
+        """The row kinds reach each bound value, not only the trivial ones."""
+        network = POPSNetwork(8, 4)
+        stack = np.array(
+            [_ROW_KINDS[kind](network, rng) for kind in sorted(_ROW_KINDS)],
+            dtype=np.int64,
+        )
+        assert set(best_known_lower_bound_stack(network, stack).tolist()) >= {
+            0, 1, ceil(8 / 4), 2 * ceil(8 / 5), 2 * ceil(8 / 4)
+        }

@@ -266,49 +266,44 @@ class TestBatchCache:
         assert second.rows == first.rows
 
 
-class TestBatchDispatchGuard:
-    """``d < g`` stacks take the per-element fast path (ISSUE 8 satellite).
+class TestBatchDispatch:
+    """Every shape takes the megabatch path on the batched engines.
 
-    The batched plan builders pad every element's round structure to the
-    worst case and measurably lose to the loop for ``d < g`` (0.8x at
-    d=16, g=64), so dispatch is shape-aware — and, because both paths are
-    bit-identical, purely a performance decision.
+    ``d < g`` stacks used to be dispatched to the per-element loop, where the
+    padded batch plan builders lost; with the cache-blocked Euler split the
+    batch path wins there too, so dispatch no longer looks at the shape.
     """
 
-    @pytest.mark.parametrize("d,g", [(2, 8), (3, 7), (1, 6)])
-    def test_both_paths_bit_identical_for_d_lt_g(self, rng, d, g):
-        from repro.analysis.metrics import _measure_routing_batch
+    @pytest.mark.parametrize("d,g", [(2, 8), (3, 7), (1, 6), (4, 16)])
+    def test_d_lt_g_is_bit_identical_to_routing_each_row(self, rng, d, g):
+        from repro.analysis.metrics import _measure_routing, _measure_routing_batch
 
         network = POPSNetwork(d, g)
         pis = permutation_stack(network, rng, 4)
         kwargs = dict(
             router_backend="euler-array", sim_backend="batched", use_cache=False
         )
-        looped = _measure_routing_batch(network, pis, prefer_batch=False, **kwargs)
-        batched = _measure_routing_batch(network, pis, prefer_batch=True, **kwargs)
-        assert looped == batched
-        for fast, slow in zip(batched, looped):
+        batched = _measure_routing_batch(network, pis, **kwargs)
+        rows = [_measure_routing(network, pi, **kwargs) for pi in pis]
+        assert batched == rows
+        for fast, slow in zip(batched, rows):
             for field in dataclasses.fields(fast):
                 assert type(getattr(fast, field.name)) is type(
                     getattr(slow, field.name)
                 ), field.name
 
-    def test_d_lt_g_dispatches_to_per_element_path(self, rng, monkeypatch):
-        network = POPSNetwork(2, 8)
-        pis = permutation_stack(network, rng, 3)
+    def test_blocked_union_plans_are_row_wise_identical(self, rng):
+        """A ``16x64`` stack of 64 (a 2**18-instance union, cache-blocked)."""
+        network = POPSNetwork(16, 64)
+        pis = permutation_stack(network, rng, 64)
+        router = PermutationRouter(network, backend="euler-array")
+        batch = router.route_compiled_batch(pis)
+        for b in range(pis.shape[0]):
+            assert_bit_identical(batch.element(b), router.route_compiled(pis[b]))
 
-        def boom(*args, **kwargs):  # pragma: no cover - must not run
-            raise AssertionError("d < g must not take the batched plan builder")
-
-        monkeypatch.setattr(PermutationRouter, "route_compiled_batch", boom)
-        session = Session(
-            RunConfig(router_backend="euler-array", sim_backend="batched")
-        )
-        metrics = session.route_batch(pis, network=network)
-        assert len(metrics) == 3
-
-    def test_d_ge_g_still_dispatches_to_batch_path(self, rng, monkeypatch):
-        network = POPSNetwork(8, 4)
+    @pytest.mark.parametrize("d,g", [(2, 8), (1, 6), (8, 4)])
+    def test_every_shape_dispatches_to_batch_path(self, rng, monkeypatch, d, g):
+        network = POPSNetwork(d, g)
         pis = permutation_stack(network, rng, 3)
         seen = []
         original = PermutationRouter.route_compiled_batch
@@ -318,33 +313,11 @@ class TestBatchDispatchGuard:
             return original(self, *args, **kwargs)
 
         monkeypatch.setattr(PermutationRouter, "route_compiled_batch", spy)
-        Session(
+        metrics = Session(
             RunConfig(router_backend="euler-array", sim_backend="batched")
         ).route_batch(pis, network=network)
-        assert seen, "d >= g stacks must take the batched plan builder"
-
-    def test_prefer_batch_true_forces_batch_path_for_d_lt_g(self, rng, monkeypatch):
-        from repro.analysis.metrics import _measure_routing_batch
-
-        network = POPSNetwork(2, 8)
-        pis = permutation_stack(network, rng, 2)
-        seen = []
-        original = PermutationRouter.route_compiled_batch
-
-        def spy(self, *args, **kwargs):
-            seen.append(True)
-            return original(self, *args, **kwargs)
-
-        monkeypatch.setattr(PermutationRouter, "route_compiled_batch", spy)
-        _measure_routing_batch(
-            network,
-            pis,
-            router_backend="euler-array",
-            sim_backend="batched",
-            use_cache=False,
-            prefer_batch=True,
-        )
-        assert seen, "prefer_batch=True must override the shape heuristic"
+        assert len(metrics) == 3
+        assert seen == [True], "the stack must take one batched plan call"
 
 
 class TestShardMergeDeterminism:

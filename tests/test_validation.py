@@ -10,6 +10,8 @@ from repro.utils.validation import (
     check_in_range,
     check_non_negative_int,
     check_permutation,
+    check_permutation_array,
+    check_permutation_stack,
     check_positive_int,
     check_probability,
     check_type,
@@ -118,6 +120,42 @@ class TestCheckPermutation:
 
     def test_empty_is_valid(self):
         assert check_permutation([]) == []
+
+
+class TestArrayPermutationValidators:
+    """The array validators name the same offender as the scalar loop."""
+
+    INVALID = [
+        [1, 2, 2, 1],  # first repeat in input order is 2, smallest is 1
+        [1, 1, 5],  # the repeat comes before the out-of-range entry
+        [3, 0, 0, -1],
+        [0, 4, 1, 1],  # the out-of-range entry comes first
+        [0, 0],
+    ]
+
+    @staticmethod
+    def _message(check, pi):
+        with pytest.raises(ValidationError) as caught:
+            check(pi)
+        return str(caught.value)
+
+    @pytest.mark.parametrize("pi", INVALID)
+    def test_array_messages_match_scalar(self, pi):
+        assert self._message(check_permutation_array, pi) == self._message(
+            check_permutation, pi
+        )
+
+    @pytest.mark.parametrize("pi", INVALID)
+    def test_stack_reports_first_invalid_row(self, pi):
+        valid = list(range(len(pi)))
+        stack = [valid, pi, list(reversed(pi))]
+        assert self._message(check_permutation_stack, stack) == self._message(
+            check_permutation, pi
+        )
+
+    def test_valid_inputs_pass_through(self):
+        assert check_permutation_array([2, 0, 1]).tolist() == [2, 0, 1]
+        assert check_permutation_stack([[2, 0, 1], [0, 1, 2]]).shape == (2, 3)
 
 
 class TestCheckProbability:
